@@ -10,7 +10,7 @@ GO ?= go
 # regression tolerance even on a contended single-CPU host.
 REPS ?= 10
 
-.PHONY: all build test vet race verify explain-smoke bench bench-mem bench-parallel bench-snapshot bench-memlayout bench-por bench-dist bench-replay bench-check scrape-smoke clean
+.PHONY: all build test vet race verify explain-smoke bench bench-mem bench-gate bench-parallel bench-snapshot bench-memlayout bench-por bench-dist bench-replay bench-check scrape-smoke clean
 
 all: verify
 
@@ -40,12 +40,23 @@ race:
 
 # Allocation-regression gates: the testing.AllocsPerRun pins that keep the
 # paged-layout hot path (guest ops, scenario reset, journal mark/rewind)
-# at zero heap allocations once warmed.
+# at zero heap allocations once warmed, plus the failure-point cost gates: a
+# warmed pre-failure failure point (snapshot capture and POR fingerprint
+# memo) allocates nothing, and a capture copies only the decisions and trace
+# operations since the previous one, however deep the choice stack.
 bench-mem:
-	$(GO) test -run 'TestSteadyStateOpAllocations|TestScenarioResetAllocations' -count=1 ./internal/core/
+	$(GO) test -run 'TestSteadyStateOpAllocations|TestScenarioResetAllocations|TestFailPointAllocations|TestSnapshotCaptureCopiesOnlyDelta' -count=1 ./internal/core/
 	$(GO) test -run TestStackOpsAllocFree -count=1 ./internal/pmem/
 
 verify: vet build test race bench-mem
+
+# End-to-end benchmark gate: the harness self-test (tiny workloads end to
+# end, planted wrong answers caught, seed determinism), then the exact-count
+# gate, which runs the traced run of each in-process workload twice at the
+# baseline seed and fails unless every deterministic count repeats.
+bench-gate:
+	cd jaarubench && $(GO) test .
+	bash jaarubench/run.sh --seed 1 --gate
 
 # End-to-end forensics smoke: find the commitstore bug, minimize its choice
 # prefix, build the witness, and validate the emitted JSON against the schema.

@@ -111,7 +111,12 @@ type Checker struct {
 	// baseline the capture deltas are measured against; scenPerf/scenMulti
 	// accumulate the current scenario's perf-issue and multi-rf
 	// manifestations so snapshots can re-apply them on restore.
+	// snapPts and snapTrace are logs the nested entries share, each entry
+	// keeping only its lengths: the decisions of the deepest entry's choice
+	// prefix, and the trace operations the captures along it recorded.
 	snaps         []*snapEntry
+	snapPts       []choicePoint
+	snapTrace     []TraceOp
 	snapActive    bool
 	snapBase      obs.CounterVec
 	snapBaseSteps int64

@@ -59,6 +59,9 @@ type chooser struct {
 	// long as the point itself survives backtracking.
 	aux    []*failMemo
 	cursor int
+	// memoFree pools the memos of popped points, so a warmed fresh failure
+	// point allocates none. Every memo in aux is owned by the chooser.
+	memoFree []*failMemo
 
 	// newPoints counts distinct choice points discovered, by kind —
 	// exploration statistics for Result.
@@ -84,9 +87,8 @@ func (ch *chooser) begin() { ch.cursor = 0 }
 // is frozen (limit = idx+1), so advance never backtracks into territory
 // owned by the branch's publisher.
 func (ch *chooser) seed(prefix []choicePoint) {
-	ch.points = append(ch.points[:0], prefix...)
-	ch.limit = ch.limit[:0]
-	ch.aux = ch.aux[:0]
+	ch.truncate(0)
+	ch.points = append(ch.points, prefix...)
 	for _, p := range prefix {
 		ch.limit = append(ch.limit, p.idx+1)
 		ch.aux = append(ch.aux, nil)
@@ -129,11 +131,12 @@ func (ch *chooser) choose(kind choiceKind, n int) int {
 // still owned, and the claimant resumes exactly there: the current vector is
 // replayed as the first scenario, then advance walks the remaining siblings.
 // Memos let the claimant's porPruneSweep re-clamp failure decisions whose
-// crash state was already published without re-deriving the fingerprint.
+// crash state was already published without re-deriving the fingerprint;
+// the chooser takes ownership of them (they join its pool when their points
+// are popped).
 func (ch *chooser) seedClaim(prefix []choicePoint, limits []int, memos []*failMemo) {
-	ch.points = append(ch.points[:0], prefix...)
-	ch.limit = ch.limit[:0]
-	ch.aux = ch.aux[:0]
+	ch.truncate(0)
+	ch.points = append(ch.points, prefix...)
 	for i, p := range prefix {
 		lim := p.idx + 1
 		if limits != nil {
@@ -157,7 +160,8 @@ func (ch *chooser) seedClaim(prefix []choicePoint, limits []int, memos []*failMe
 // Limits are exported verbatim: donation lowers must stay lowered (the
 // donated subtrees were pushed), and POR clamps must stay clamped (their
 // analytic delta is part of the same commit's cumulative stats, so a
-// claimant re-applying it would double-count).
+// claimant re-applying it would double-count). The memos are the chooser's
+// own pooled records: encode them before the chooser moves on.
 func (ch *chooser) claimSnapshot() (points []choicePoint, limits []int, memos []*failMemo) {
 	points = append([]choicePoint(nil), ch.points...)
 	limits = append([]int(nil), ch.limit...)
@@ -168,6 +172,30 @@ func (ch *chooser) claimSnapshot() (points []choicePoint, limits []int, memos []
 		}
 	}
 	return points, limits, memos
+}
+
+// newMemo returns a failMemo for the caller to overwrite, drawn from the
+// pool when one is free.
+func (ch *chooser) newMemo() *failMemo {
+	if n := len(ch.memoFree); n > 0 {
+		m := ch.memoFree[n-1]
+		ch.memoFree[n-1] = nil
+		ch.memoFree = ch.memoFree[:n-1]
+		return m
+	}
+	return new(failMemo)
+}
+
+// truncate drops the points from index n on, returning their memos to the
+// pool.
+func (ch *chooser) truncate(n int) {
+	for i := n; i < len(ch.aux); i++ {
+		if m := ch.aux[i]; m != nil {
+			ch.memoFree = append(ch.memoFree, m)
+			ch.aux[i] = nil
+		}
+	}
+	ch.points, ch.limit, ch.aux = ch.points[:n], ch.limit[:n], ch.aux[:n]
 }
 
 // advance backtracks depth-first: exhausted trailing points are popped, the
@@ -184,10 +212,7 @@ func (ch *chooser) advance() bool {
 			}
 			return true
 		}
-		ch.points = ch.points[:i]
-		ch.limit = ch.limit[:i]
-		ch.aux[i] = nil
-		ch.aux = ch.aux[:i]
+		ch.truncate(i)
 	}
 	return false
 }

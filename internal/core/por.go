@@ -280,9 +280,8 @@ func (c *Checker) porStateFingerprint() uint64 {
 	if c.col != nil {
 		t0 = time.Now()
 	}
-	h := pmem.FingerprintSeed
-	h = (h ^ uint64(c.alloc.HighWater())) * 0x100000001b3
-	h = (h ^ uint64(c.stack.Depth())) * 0x100000001b3
+	h := pmem.FingerprintFold(pmem.FingerprintSeed, uint64(c.alloc.HighWater()))
+	h = pmem.FingerprintFold(h, uint64(c.stack.Depth()))
 	fp := c.stack.Fingerprint(h)
 	if c.col != nil {
 		c.col.Observe(obs.TimerFingerprint, time.Since(t0).Nanoseconds())
@@ -299,7 +298,8 @@ func (c *Checker) porNoteFailPoint() {
 	if !c.porFpActive {
 		return
 	}
-	m := &failMemo{
+	m := c.chooser.newMemo()
+	*m = failMemo{
 		fp:    c.porStateFingerprint(),
 		steps: c.totalSteps - c.porScenBaseSteps,
 	}
@@ -702,4 +702,14 @@ func (c *Checker) porGraftBug(pb *porBug, hitDepth int, flip bool) {
 		c.reg.Emit("bug", "worker", c.workerID, "type", b.Type.String(),
 			"message", b.Message, "choices", b.Choices)
 	}
+}
+
+// prefixEqual reports whether a is a prefix of b (len(b) >= len(a)).
+func prefixEqual(a, b []choicePoint) bool {
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }

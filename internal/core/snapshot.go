@@ -144,10 +144,10 @@ type ffwdState struct {
 // snapEntry is one captured scenario state.
 type snapEntry struct {
 	kind snapKind
-	// depth is the chooser cursor at capture; prefix is a copy of
-	// points[:depth] — the decisions that deterministically lead here.
-	depth  int
-	prefix []choicePoint
+	// depth is the chooser cursor at capture: the entry's choice prefix —
+	// the decisions that deterministically lead here — is
+	// Checker.snapPts[:depth].
+	depth int
 
 	// Guest-visible state.
 	mark    pmem.Mark
@@ -155,7 +155,9 @@ type snapEntry struct {
 	fpCount int
 	preDone bool
 	high    pmem.Addr // allocator high-water mark
-	trace   []TraceOp // nil when tracing is disabled
+	// The trace ring at capture: it had added traceTotal operations and
+	// held the last min(traceTotal, TraceLen) of Checker.snapTrace[:traceLen].
+	traceLen, traceTotal int
 
 	// Exploration-level deltas accumulated by the capture scenario up to
 	// this point (relative to its scenario baseline), re-applied when a
@@ -222,12 +224,22 @@ func (c *Checker) beginSnapScenario() {
 
 // dropSnaps releases every snapshot (a fresh full run re-captures from
 // scratch, and an engine panic leaves the journaled stack untrustworthy).
-func (c *Checker) dropSnaps() {
-	for i := range c.snaps {
+func (c *Checker) dropSnaps() { c.popSnapsTo(0) }
+
+// popSnapsTo releases every entry above the first n and truncates the shared
+// logs to what the new top entry recorded.
+func (c *Checker) popSnapsTo(n int) {
+	for i := n; i < len(c.snaps); i++ {
 		c.putSnapEntry(c.snaps[i])
 		c.snaps[i] = nil
 	}
-	c.snaps = c.snaps[:0]
+	c.snaps = c.snaps[:n]
+	depth, traceLen := 0, 0
+	if n > 0 {
+		depth, traceLen = c.snaps[n-1].depth, c.snaps[n-1].traceLen
+	}
+	c.snapPts = c.snapPts[:depth]
+	c.snapTrace = c.snapTrace[:traceLen]
 }
 
 // getSnapEntry draws a snapshot entry from the free list (or allocates one).
@@ -254,33 +266,38 @@ func (c *Checker) putSnapEntry(s *snapEntry) {
 // usableSnapshot returns the deepest snapshot the current scenario can
 // resume from, pruning entries captured under prefixes the chooser has
 // backtracked away from. Snapshot prefixes are nested (each extends the one
-// below), so stale entries are always the deepest and are dropped as they
-// are found; a valid entry is usable if it is an endSnap (recovery re-runs
-// from the completed pre-failure state) or an fpSnap whose failure decision
-// the scenario records as taken. Deeper valid-but-unusable entries (e.g. a
-// recovery failure point this scenario does not crash at) stay cached; they
-// are pruned by restoreSnapshot only if a shallower entry is restored,
-// because the rewind reclaims their journaled state.
+// below), so they share one log, snapPts, and an entry is stale exactly when
+// its depth passes the first decision where the log and the chooser's vector
+// differ; stale entries are always the deepest. A valid entry is usable if it
+// is an endSnap (recovery re-runs from the completed pre-failure state) or an
+// fpSnap whose failure decision the scenario records as taken. Deeper
+// valid-but-unusable entries (e.g. a recovery failure point this scenario
+// does not crash at) stay cached; they are pruned if a shallower entry is
+// restored, because the rewind reclaims their journaled state.
 func (c *Checker) usableSnapshot() *snapEntry {
 	if !c.snapActive {
 		return nil
 	}
 	pts := c.chooser.points
-	// Entries at depth <= chooser.stable still prefix-match by construction
-	// (advance only flips the deepest surviving index; see chooser.stable),
-	// so only deeper entries need the O(depth) comparison — and those are
-	// exactly the ones the flip invalidated, which fail fast.
-	stable := c.chooser.stable
-	c.chooser.stable = math.MaxInt
-	for i := len(c.snaps) - 1; i >= 0; i-- {
-		s := c.snaps[i]
-		if s.depth > stable &&
-			(s.depth > len(pts) || !prefixEqual(s.prefix, pts[:s.depth])) {
-			c.putSnapEntry(s)
-			c.snaps[i] = nil
-			c.snaps = c.snaps[:i]
-			continue
+	// The log and the vector agree below chooser.stable by construction
+	// (advance only flips the deepest surviving index, and the log was
+	// copied from the vector; see chooser.stable), so the comparison starts
+	// there.
+	valid := min(len(c.snapPts), len(pts))
+	for i := min(c.chooser.stable, valid); i < valid; i++ {
+		if c.snapPts[i] != pts[i] {
+			valid = i
+			break
 		}
+	}
+	c.chooser.stable = math.MaxInt
+	n := len(c.snaps)
+	for n > 0 && c.snaps[n-1].depth > valid {
+		n--
+	}
+	c.popSnapsTo(n)
+	for i := n - 1; i >= 0; i-- {
+		s := c.snaps[i]
 		var usable bool
 		switch s.kind {
 		case endSnap:
@@ -299,11 +316,7 @@ func (c *Checker) usableSnapshot() *snapEntry {
 			usable = s.depth < len(pts)
 		}
 		if usable {
-			for j := i + 1; j < len(c.snaps); j++ {
-				c.putSnapEntry(c.snaps[j])
-				c.snaps[j] = nil
-			}
-			c.snaps = c.snaps[:i+1]
+			c.popSnapsTo(i + 1)
 			return s
 		}
 	}
@@ -316,55 +329,45 @@ func (c *Checker) usableSnapshot() *snapEntry {
 // which stays on the clamped point's un-flipped branch — so this is a
 // defensive no-op in practice, but the invariant that no surviving entry
 // hangs off unreachable work is cheap to enforce and load-bearing for the
-// restore path's correctness argument.
+// restore path's correctness argument. Every entry deeper than i shares the
+// log's decision at i, so they stay or go together.
 func (c *Checker) chsnapExciseBelow(i int) {
-	for j := len(c.snaps) - 1; j >= 0; j-- {
-		s := c.snaps[j]
-		if s.depth <= i || s.prefix[i] == c.chooser.points[i] {
-			// Nested prefixes: once one entry covering point i matches the
-			// live decision, every shallower one does too.
-			return
-		}
-		c.putSnapEntry(s)
-		c.snaps[j] = nil
-		c.snaps = c.snaps[:j]
-	}
-}
-
-func prefixEqual(a, b []choicePoint) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// captureSnap records the current scenario state if the engine is active
-// and no snapshot exists at this depth yet (a restored prefix re-passes the
-// shallower capture sites with the condition already satisfied).
-func (c *Checker) captureSnap(kind snapKind) {
-	if !c.snapActive {
+	if i >= len(c.snapPts) || c.snapPts[i] == c.chooser.points[i] {
 		return
 	}
-	depth := c.chooser.cursor
-	if n := len(c.snaps); n > 0 && depth <= c.snaps[n-1].depth {
-		return
+	n := len(c.snaps)
+	for n > 0 && c.snaps[n-1].depth > i {
+		n--
 	}
+	c.popSnapsTo(n)
+}
+
+// newSnap starts a capture at chooser depth `depth` with the state every
+// snapshot kind records. It extends the shared logs by what happened since
+// the top entry — the decisions past its depth, and the trace operations
+// added since (at most TraceLen of them: the ones the ring still holds) —
+// so a capture's cost does not grow with the choice depth. The caller fills
+// in kind-specific fields and pushes the entry.
+func (c *Checker) newSnap(kind snapKind, depth int) *snapEntry {
 	s := c.getSnapEntry()
 	s.kind = kind
 	s.depth = depth
-	s.prefix = append(s.prefix[:0], c.chooser.points[:depth]...)
+	c.snapPts = append(c.snapPts, c.chooser.points[len(c.snapPts):depth]...)
+	if c.trace != nil {
+		since := 0
+		if n := len(c.snaps); n > 0 {
+			since = c.snaps[n-1].traceTotal
+		}
+		c.snapTrace = c.trace.appendSince(c.snapTrace, since)
+		s.traceTotal = c.trace.total
+	}
+	s.traceLen = len(c.snapTrace)
 	s.mark = c.stack.Mark()
 	s.seq = c.seq
 	s.fpCount = c.fpCount
 	s.preDone = c.preDone
 	s.high = c.alloc.HighWater()
 	s.stepsDelta = c.totalSteps - c.snapBaseSteps
-	s.trace = s.trace[:0]
-	if c.trace != nil {
-		s.trace = c.trace.snapshotInto(s.trace)
-	}
 	if c.col != nil {
 		vec := c.col.Counters().Diff(c.snapBase)
 		// Excluded from the replayed delta: per-scenario bookkeeping the
@@ -400,6 +403,21 @@ func (c *Checker) captureSnap(kind snapKind) {
 			s.multi[k] = &cm
 		}
 	}
+	return s
+}
+
+// captureSnap records the current scenario state if the engine is active
+// and no snapshot exists at this depth yet (a restored prefix re-passes the
+// shallower capture sites with the condition already satisfied).
+func (c *Checker) captureSnap(kind snapKind) {
+	if !c.snapActive {
+		return
+	}
+	depth := c.chooser.cursor
+	if n := len(c.snaps); n > 0 && depth <= c.snaps[n-1].depth {
+		return
+	}
+	s := c.newSnap(kind, depth)
 	c.snaps = append(c.snaps, s)
 	c.col.Inc(obs.SnapshotCaptures)
 	c.col.NotePeak(obs.PeakSnapshotBytes, c.stack.RetainedBytes())
@@ -424,7 +442,7 @@ func (c *Checker) restoreSnapshot(s *snapEntry) (crashed bool) {
 	c.preDone = s.preDone
 	c.alloc.Truncate(s.high)
 	if c.trace != nil {
-		c.trace.restore(s.trace)
+		c.trace.restoreTail(c.snapTrace[:s.traceLen], s.traceTotal)
 	}
 	cursor := s.depth
 	if s.kind == fpSnap {
@@ -473,24 +491,11 @@ func (c *Checker) captureChoiceSnap() {
 	if n := len(c.snaps); n > 0 && depth <= c.snaps[n-1].depth {
 		return
 	}
-	s := c.getSnapEntry()
-	s.kind = choiceSnap
-	s.depth = depth
-	s.prefix = append(s.prefix[:0], c.chooser.points[:depth]...)
-	s.mark = c.stack.Mark()
-	s.seq = c.seq
-	s.fpCount = c.fpCount
-	s.preDone = c.preDone
-	s.high = c.alloc.HighWater()
-	s.stepsDelta = c.totalSteps - c.snapBaseSteps
+	s := c.newSnap(choiceSnap, depth)
 	s.segSteps = c.steps
 	s.segDirty = c.dirty
 	s.execID = c.stack.Top().ID
 	s.logTarget = len(c.segLogs[s.execID-1])
-	s.trace = s.trace[:0]
-	if c.trace != nil {
-		s.trace = c.trace.snapshotInto(s.trace)
-	}
 	// Per-thread TSO buffering state in scheduler order. The capturing
 	// thread holds the turn, so parked threads' states are quiescent; the
 	// scheduler lock pins the thread list (Spawn appends under it). Growth
@@ -514,35 +519,6 @@ func (c *Checker) captureChoiceSnap() {
 			s.lsV = append(s.lsV, seq)
 		}
 	}
-	if c.col != nil {
-		vec := c.col.Counters().Diff(c.snapBase)
-		vec.Clear(obs.Scenarios, obs.Steps,
-			obs.PreFailureNs, obs.PostFailureNs, obs.ReplayNs,
-			obs.ChoicesReplayed, obs.ChoicesFresh,
-			obs.SnapshotCaptures, obs.SnapshotRestores, obs.SnapshotRestoreNs,
-			obs.ScenariosPruned, obs.FingerprintHits, obs.FingerprintMisses,
-			obs.ChoicesRestored, obs.ChoiceSnapCaptures, obs.ChoiceRestores,
-			obs.ChoiceRestoreNs, obs.ReplayStepsSaved, obs.RefinementsSkipped,
-			obs.ReplaySteps)
-		s.vec = vec
-	} else {
-		s.vec = obs.CounterVec{}
-	}
-	s.perf, s.multi = nil, nil
-	if len(c.scenPerf) > 0 {
-		s.perf = make(map[string]*PerfIssue, len(c.scenPerf))
-		for k, p := range c.scenPerf {
-			cp := *p
-			s.perf[k] = &cp
-		}
-	}
-	if len(c.scenMulti) > 0 {
-		s.multi = make(map[string]*MultiRF, len(c.scenMulti))
-		for k, m := range c.scenMulti {
-			cm := *m
-			s.multi[k] = &cm
-		}
-	}
 	c.snaps = append(c.snaps, s)
 	c.col.Inc(obs.ChoiceSnapCaptures)
 	c.col.NotePeak(obs.PeakSnapshotBytes, c.stack.RetainedBytes())
@@ -563,7 +539,7 @@ func (c *Checker) restoreChoiceSnap(s *snapEntry) (crashed bool) {
 	c.preDone = s.preDone
 	c.alloc.Truncate(s.high)
 	if c.trace != nil {
-		c.trace.restore(s.trace)
+		c.trace.restoreTail(c.snapTrace[:s.traceLen], s.traceTotal)
 	}
 	if c.opts.FlagPerfIssues {
 		clear(c.lastStore)

@@ -98,15 +98,17 @@ func TestSnapshotStalePrefixPruned(t *testing.T) {
 	c.snapActive = true
 	c.stack = pmem.NewStack()
 	c.stack.EnableJournal()
-	mk := func(depth int, prefix ...int) *snapEntry {
-		pts := make([]choicePoint, len(prefix))
-		for i, v := range prefix {
-			pts[i] = choicePoint{kind: chooseFail, n: 2, idx: v}
+	// Entries at depths 0 and 1 over a shared log whose first decision
+	// continued past the first failure point.
+	push := func(log ...int) {
+		c.dropSnaps()
+		for i, v := range log {
+			c.snapPts = append(c.snapPts, choicePoint{kind: chooseFail, n: 2, idx: v})
+			c.snaps = append(c.snaps, &snapEntry{kind: fpSnap, depth: i, mark: c.stack.Mark()})
 		}
-		return &snapEntry{kind: fpSnap, depth: depth, prefix: pts,
-			mark: c.stack.Mark()}
+		c.snaps = append(c.snaps, &snapEntry{kind: fpSnap, depth: len(log), mark: c.stack.Mark()})
 	}
-	c.snaps = []*snapEntry{mk(0), mk(1, 0)}
+	push(0)
 
 	// Current scenario: fail at the first point — the depth-1 entry (whose
 	// prefix says the first point continued) is stale, the depth-0 usable.
@@ -118,9 +120,12 @@ func TestSnapshotStalePrefixPruned(t *testing.T) {
 	if len(c.snaps) != 1 {
 		t.Errorf("stale entry not pruned: %d entries remain", len(c.snaps))
 	}
+	if len(c.snapPts) != 0 {
+		t.Errorf("choice log holds %d decisions after the prune, want 0", len(c.snapPts))
+	}
 
 	// A scenario whose prefix matches no fail decision restores nothing.
-	c.snaps = []*snapEntry{mk(0)}
+	push()
 	c.chooser.points = []choicePoint{{kind: chooseFail, n: 2, idx: 0}}
 	if s := c.usableSnapshot(); s != nil {
 		t.Errorf("usableSnapshot = %+v for a continue decision, want nil", s)
@@ -207,33 +212,165 @@ func TestChoiceSnapshotPushPopAllocs(t *testing.T) {
 // entry whose prefix took the now-excised branch at i must be dropped, while
 // entries on the surviving branch (or too shallow to cover i) stay cached.
 func TestChoiceSnapExciseBelow(t *testing.T) {
-	c := New(snapProgram(&obsSet{}), Options{})
-	c.stack = pmem.NewStack()
-	c.stack.EnableJournal()
-	mk := func(depth int, idxAt1 int) *snapEntry {
-		pts := []choicePoint{
-			{kind: chooseFail, n: 2, idx: 1},
-			{kind: chooseFail, n: 2, idx: idxAt1},
-			{kind: chooseReadFrom, n: 2, idx: 0},
-		}
-		return &snapEntry{kind: choiceSnap, depth: depth, prefix: pts[:depth],
-			mark: c.stack.Mark()}
-	}
-	c.chooser.points = []choicePoint{
+	live := []choicePoint{
 		{kind: chooseFail, n: 2, idx: 1},
 		{kind: chooseFail, n: 2, idx: 0}, // live path: point 1 not taken
 		{kind: chooseReadFrom, n: 2, idx: 0},
 	}
-	// Shallow entry (does not cover point 1), covered entry on the live
-	// branch, and a deeper entry whose prefix took the excised branch.
-	c.snaps = []*snapEntry{mk(1, 0), mk(2, 0), mk(3, 1)}
-	c.chsnapExciseBelow(1)
-	if len(c.snaps) != 2 {
-		t.Fatalf("excision kept %d entries, want 2", len(c.snaps))
+	// setup builds entries at depths 1, 2 and 3 over a shared log that took
+	// option idxAt1 at point 1.
+	setup := func(idxAt1 int) *Checker {
+		c := New(snapProgram(&obsSet{}), Options{})
+		c.stack = pmem.NewStack()
+		c.stack.EnableJournal()
+		c.chooser.points = append([]choicePoint(nil), live...)
+		c.snapPts = append([]choicePoint(nil), live...)
+		c.snapPts[1].idx = idxAt1
+		for d := 1; d <= 3; d++ {
+			c.snaps = append(c.snaps, &snapEntry{kind: choiceSnap, depth: d, mark: c.stack.Mark()})
+		}
+		return c
 	}
-	for _, s := range c.snaps {
-		if s.depth > 1 && s.prefix[1].idx != 0 {
-			t.Errorf("entry at depth %d still hangs off the excised branch", s.depth)
+
+	// Entries on the live branch survive.
+	c := setup(0)
+	c.chsnapExciseBelow(1)
+	if len(c.snaps) != 3 {
+		t.Errorf("excision of the live branch kept %d entries, want 3", len(c.snaps))
+	}
+
+	// Entries that took the excised branch go; the shallow one (which does
+	// not cover point 1) stays, and the log is cut back to it.
+	c = setup(1)
+	c.chsnapExciseBelow(1)
+	if len(c.snaps) != 1 || c.snaps[0].depth != 1 {
+		t.Fatalf("excision kept %d entries, want the depth-1 entry only", len(c.snaps))
+	}
+	if len(c.snapPts) != 1 {
+		t.Errorf("choice log holds %d decisions, want 1", len(c.snapPts))
+	}
+}
+
+// TestFailPointAllocations is the failure-point cost gate: once warmed, a
+// fresh pre-failure failure point — the fpSnap capture plus the POR memo
+// (crash-state fingerprint and prefix cost) — must not allocate.
+func TestFailPointAllocations(t *testing.T) {
+	c := New(Program{Name: "fail-point-gate", Run: func(*Context) {}, Recover: func(*Context) {}}, Options{})
+	c.resetScenario()
+	ctx := &Context{ck: c, th: c.sched.reset(c.opts.SBCapacity, nil)}
+	c.porBeginScenario()
+	c.beginSnapScenario()
+	if !c.snapActive || !c.porFpActive {
+		t.Fatalf("engines inactive: snapshots %v, POR fingerprints %v", c.snapActive, c.porFpActive)
+	}
+	c.stack.EnableJournal()
+	a := ctx.Root()
+	for i := 0; i < 64; i++ { // a touched history for the fingerprint to cover
+		ctx.Store64(a.Add(uint64(i%16)*8), uint64(i))
+		ctx.Clflush(a.Add(uint64(i%16)*8), 8)
+	}
+	i := uint64(0)
+	failPoint := func() {
+		mark := c.stack.Mark()
+		points, snaps := len(c.chooser.points), len(c.snaps)
+		i++
+		ctx.Store64(a, i)
+		ctx.Clflush(a, 8)
+		ctx.Sfence()
+		if len(c.chooser.points) != points+1 || c.chooser.aux[points] == nil || len(c.snaps) != snaps+1 {
+			t.Fatalf("store+flush made %d points (memo %v), %d captures; want one memoized point and one capture",
+				len(c.chooser.points)-points, len(c.chooser.points) > points && c.chooser.aux[points] != nil,
+				len(c.snaps)-snaps)
+		}
+		// Unwind to the state before the point, so every run repeats it.
+		c.chooser.truncate(points)
+		c.chooser.cursor = points
+		c.popSnapsTo(snaps)
+		c.stack.Rewind(mark)
+	}
+	for range 8 {
+		failPoint()
+	}
+	if n := testing.AllocsPerRun(100, failPoint); n != 0 {
+		t.Errorf("warmed pre-failure failure point allocates %.2f times, want 0", n)
+	}
+}
+
+// TestSnapshotCaptureCopiesOnlyDelta: a capture's cost must not grow with the
+// choice depth or the trace length. At depth 4096 with TraceLen 64, a
+// capture one decision and three operations past the previous one extends
+// the shared logs by exactly that one decision and those three operations,
+// and one past more than TraceLen operations copies only the TraceLen the
+// ring still holds; restoring any entry rebuilds the exact ring.
+func TestSnapshotCaptureCopiesOnlyDelta(t *testing.T) {
+	const depth, traceLen = 4096, 64
+	c := New(snapProgram(&obsSet{}), Options{TraceLen: traceLen})
+	c.stack = pmem.NewStack()
+	c.stack.EnableJournal()
+	c.beginSnapScenario()
+	c.chooser.points = make([]choicePoint, depth+1)
+	for i := range c.chooser.points {
+		c.chooser.points[i] = choicePoint{kind: chooseFail, n: 2}
+	}
+	op := 0
+	ops := func(n int) {
+		for range n {
+			c.traceOp(0, "store", pmem.Addr(op), 8, uint64(op))
+			op++
 		}
 	}
+	var rings [][]TraceOp
+	capture := func(cursor, wantPts, wantOps int) {
+		t.Helper()
+		pts, trace := len(c.snapPts), len(c.snapTrace)
+		// Sentinels in what the logs already hold: a capture that rewrote
+		// them instead of appending would overwrite these.
+		if pts > 0 {
+			c.snapPts[pts-1].idx = 7
+			c.snapTrace[trace-1].Size = -1
+		}
+		c.chooser.cursor = cursor
+		c.captureSnap(fpSnap)
+		if pts > 0 && (c.snapPts[pts-1].idx != 7 || c.snapTrace[trace-1].Size != -1) {
+			t.Errorf("capture at depth %d rewrote the logs below the previous capture", cursor)
+		}
+		if pts > 0 {
+			c.snapPts[pts-1].idx = 0
+			c.snapTrace[trace-1].Size = 8
+		}
+		if got := len(c.snapPts) - pts; got != wantPts {
+			t.Errorf("capture at depth %d appended %d decisions, want %d", cursor, got, wantPts)
+		}
+		if got := len(c.snapTrace) - trace; got != wantOps {
+			t.Errorf("capture at depth %d appended %d trace operations, want %d", cursor, got, wantOps)
+		}
+		rings = append(rings, c.trace.snapshot())
+	}
+	ops(40)
+	capture(depth-2, depth-2, 40) // the first capture copies its whole prefix
+	ops(3)
+	capture(depth-1, 1, 3)
+	ops(100)
+	capture(depth, 1, traceLen)
+
+	ops(50)
+	for i := len(c.snaps) - 1; i >= 0; i-- {
+		c.popSnapsTo(i + 1)
+		c.restoreSnapshot(c.snaps[i])
+		if got := c.trace.snapshot(); !equalTraces(got, rings[i]) {
+			t.Errorf("entry %d restored ring %v, want %v", i, got, rings[i])
+		}
+	}
+}
+
+func equalTraces(a, b []TraceOp) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }

@@ -26,20 +26,23 @@ func (o TraceOp) String() string {
 	}
 }
 
-// traceRing keeps the last N operations of the current scenario.
+// traceRing keeps the last N operations of the current scenario. total
+// counts every operation added since the scenario started.
 type traceRing struct {
-	buf  []TraceOp
-	next int
-	full bool
+	buf   []TraceOp
+	next  int
+	full  bool
+	total int
 }
 
 func newTraceRing(n int) *traceRing { return &traceRing{buf: make([]TraceOp, n)} }
 
-func (r *traceRing) reset() { r.next = 0; r.full = false }
+func (r *traceRing) reset() { r.next = 0; r.full = false; r.total = 0 }
 
 func (r *traceRing) add(op TraceOp) {
 	r.buf[r.next] = op
 	r.next++
+	r.total++
 	if r.next == len(r.buf) {
 		r.next = 0
 		r.full = true
@@ -59,24 +62,27 @@ func (r *traceRing) snapshot() []TraceOp {
 	return out
 }
 
-// snapshotInto is snapshot appending into a caller-provided buffer (the
-// snapshot-entry free list reuses it, so a warmed capture allocates nothing).
-func (r *traceRing) snapshotInto(out []TraceOp) []TraceOp {
-	if !r.full {
-		return append(out, r.buf[:r.next]...)
+// appendSince appends to log, oldest-first, the operations added since the
+// ring's total was `since` — as many of them as the ring still holds. The
+// snapshot engines extend one shared log this way at each capture
+// (snapshot.go), so a capture copies at most the operations since the
+// previous one.
+func (r *traceRing) appendSince(log []TraceOp, since int) []TraceOp {
+	k := min(r.total-since, len(r.buf)) // until full, total == next
+	if start := r.next - k; start < 0 {
+		log = append(log, r.buf[len(r.buf)+start:]...)
+		k = r.next
 	}
-	out = append(out, r.buf[r.next:]...)
-	return append(out, r.buf[:r.next]...)
+	return append(log, r.buf[r.next-k:r.next]...)
 }
 
-// restore rewinds the ring to hold exactly the given operations (a prior
-// snapshot of length <= len(buf)), oldest-first — used when a scenario
-// resumes from a captured snapshot instead of re-running its prefix.
-func (r *traceRing) restore(ops []TraceOp) {
-	r.reset()
-	for _, op := range ops {
-		r.add(op)
-	}
+// restoreTail rewinds the ring to the state it had when its total was
+// `total` and log ended with the last operation it had added — used when a
+// scenario resumes from a captured snapshot instead of re-running its
+// prefix. log holds at least the min(total, N) operations the ring held.
+func (r *traceRing) restoreTail(log []TraceOp, total int) {
+	n := copy(r.buf, log[len(log)-min(total, len(r.buf)):])
+	r.next, r.full, r.total = n%len(r.buf), n == len(r.buf), total
 }
 
 func (c *Checker) traceOp(threadID int, kind string, a pmem.Addr, size int, val uint64) {

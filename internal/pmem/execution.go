@@ -37,9 +37,15 @@ type Execution struct {
 	// the Yat state-count accounting).
 	EvictedStores int
 
-	// fpSeqs is the per-line relevant-sequence scratch buffer of
-	// lineFingerprint, reused across calls.
-	fpSeqs []Seq
+	// fpAcc / fpLines are the fingerprint accumulator: the XOR of the
+	// hashes of the touched lines not on fpDirty, and their count. fpDirty
+	// lists the lines whose interval or store chain changed since the last
+	// fingerprint, except for stores appended past fpArena, which the next
+	// fingerprint picks up from the arena (fingerprint.go).
+	fpAcc   uint64
+	fpLines uint64
+	fpDirty []Addr
+	fpArena int
 
 	pool *Pool
 }
@@ -116,7 +122,6 @@ func (e *Execution) Append(a Addr, v byte, s Seq) {
 		sl.head = idx
 	}
 	lr.tail = idx
-	lr.fpOK = false
 	// Sequence numbers only grow, so a fresh store is always past the line's
 	// lower writeback bound.
 	lr.dirty++
@@ -136,13 +141,14 @@ func (e *Execution) truncateArena(n int) {
 		}
 		lr := &pg.lines[lineIndex(nd.addr)]
 		lr.tail = nd.linePrev
-		lr.fpOK = false
+		e.markFP(lr, nd.addr)
 		if nd.seq > lr.iv.Begin {
 			lr.dirty--
 		}
 		e.EvictedStores--
 	}
 	e.arena = e.arena[:n]
+	e.fpArena = min(e.fpArena, n)
 }
 
 // recountDirty recomputes a line's dirty-store count after its lower
@@ -255,7 +261,7 @@ func (e *Execution) RaiseLineBegin(a Addr, v Seq) {
 		return
 	}
 	lr.iv.Begin = v
-	lr.fpOK = false
+	e.markFP(lr, a)
 	e.recountDirty(lr)
 }
 

@@ -36,9 +36,10 @@ package pmem
 // a mutation, plus the owning execution (to recount dirty stores on rewind
 // and to skip records of popped executions).
 type ivUndo struct {
-	e   *Execution
-	rec *lineRec
-	old Interval
+	e    *Execution
+	rec  *lineRec
+	line Addr
+	old  Interval
 }
 
 // Mark identifies a rewindable point in a journaled Stack's history.
@@ -81,7 +82,7 @@ func (s *Stack) Rewind(m Mark) {
 	for i := len(s.ivlog) - 1; i >= m.Intervals; i-- {
 		u := s.ivlog[i]
 		u.rec.iv = u.old
-		u.rec.fpOK = false
+		u.e.markFP(u.rec, u.line)
 		if u.e.ID < m.Depth {
 			surviving = append(surviving, u)
 		}
@@ -127,12 +128,12 @@ func (s *Stack) raiseBegin(kind IntervalEventKind, e *Execution, a Addr, v Seq) 
 		lr = e.ensureLine(a)
 	}
 	if s.journaling {
-		s.ivlog = append(s.ivlog, ivUndo{e: e, rec: lr, old: lr.iv})
+		s.ivlog = append(s.ivlog, ivUndo{e: e, rec: lr, line: a.Line(), old: lr.iv})
 	}
 	s.refEpoch++
 	before := lr.iv
 	lr.iv.Begin = v
-	lr.fpOK = false
+	e.markFP(lr, a)
 	e.recountDirty(lr)
 	if s.tracer != nil {
 		s.tracer(IntervalEvent{
@@ -153,12 +154,12 @@ func (s *Stack) lowerEnd(kind IntervalEventKind, e *Execution, a Addr, v Seq) {
 		lr = e.ensureLine(a)
 	}
 	if s.journaling {
-		s.ivlog = append(s.ivlog, ivUndo{e: e, rec: lr, old: lr.iv})
+		s.ivlog = append(s.ivlog, ivUndo{e: e, rec: lr, line: a.Line(), old: lr.iv})
 	}
 	s.refEpoch++
 	before := lr.iv
 	lr.iv.End = v
-	lr.fpOK = false
+	e.markFP(lr, a)
 	if s.tracer != nil {
 		s.tracer(IntervalEvent{
 			Kind: kind, Exec: e.ID, Line: a.Line(), At: v, Before: before, After: lr.iv})

@@ -69,13 +69,15 @@ type slot struct {
 type lineRec struct {
 	iv    Interval
 	known bool
-	// fpOK marks fp as the line's valid cached canonical fingerprint (see
-	// fingerprint.go); every mutation of the line's stores or interval
-	// clears it, and pooled pages come back zeroed.
-	fpOK  bool
-	dirty int32 // stores to the line with seq > iv.Begin
-	tail  int32 // newest store to the line (1-based arena index, 0 = none)
-	fp    uint64
+	// fpQueued marks the line as waiting on its execution's fingerprint
+	// dirty list; fpIn marks fp as the hash currently folded into the
+	// execution's accumulator (see fingerprint.go). Pooled pages come back
+	// zeroed, and a recycled execution clears its list and accumulator.
+	fpQueued bool
+	fpIn     bool
+	dirty    int32 // stores to the line with seq > iv.Begin
+	tail     int32 // newest store to the line (1-based arena index, 0 = none)
+	fp       uint64
 }
 
 // page holds the dense headers for pageSize consecutive bytes.
@@ -151,6 +153,8 @@ func (p *Pool) putExec(e *Execution) {
 	}
 	clear(e.pages)
 	e.arena = e.arena[:0]
+	e.fpDirty = e.fpDirty[:0]
+	e.fpAcc, e.fpLines, e.fpArena = 0, 0, 0
 	e.EvictedStores = 0
 	e.lastPage = nil
 	p.execs = append(p.execs, e)
