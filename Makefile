@@ -1,16 +1,14 @@
 # Developer / CI entry points. `make verify` is the gate every change must
-# pass: vet, full build, the full test suite, and a race-detector pass over
-# the packages with shared mutable state (the parallel exploration driver
-# and the TSO simulation it drives).
+# pass: vet, full build, the full test suite, a race-detector pass over the
+# packages with shared mutable state, and the allocation gates. Every
+# equivalence check between engine settings (snapshots, choice snapshots,
+# POR, workers, distributed) is a named test inside it. `make bench-gate` is
+# the one benchmark gate (jaarubench); `explain-smoke` and `scrape-smoke`
+# drive the forensics and telemetry surfaces end to end.
 
 GO ?= go
 
-# Measurement repetitions for the BENCH report targets (best of REPS is
-# kept). 10 keeps the wall-clock minima stable enough for bench-check's
-# regression tolerance even on a contended single-CPU host.
-REPS ?= 10
-
-.PHONY: all build test vet race verify explain-smoke bench bench-mem bench-gate bench-parallel bench-snapshot bench-memlayout bench-por bench-dist bench-replay bench-check scrape-smoke clean
+.PHONY: all build test vet race verify explain-smoke bench bench-mem bench-gate scrape-smoke clean
 
 all: verify
 
@@ -63,64 +61,10 @@ bench-gate:
 explain-smoke:
 	$(GO) run ./cmd/jaaru-explain -buggy -minimize -json -validate commitstore > /dev/null
 
+# Go micro-benchmarks of the root package (paper figures, ablations, and
+# per-feature overheads).
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
-
-# Regenerate the parallel-scaling report (BENCH_parallel.json).
-bench-parallel:
-	$(GO) run ./cmd/jaaru-perf -parallel BENCH_parallel.json -reps $(REPS)
-
-# Regenerate the snapshot off-vs-on report (BENCH_snapshot.json).
-bench-snapshot:
-	$(GO) run ./cmd/jaaru-perf -snapshots BENCH_snapshot.json -reps $(REPS)
-
-# Regenerate the POR off-vs-on report (BENCH_por.json): explored-scenario
-# reduction and result-equivalence check per workload. Exits nonzero on any
-# off/on result mismatch.
-bench-por:
-	$(GO) run ./cmd/jaaru-perf -por BENCH_por.json -reps $(REPS)
-
-# Regenerate the distributed-exploration report (BENCH_dist.json): serial vs
-# a coordinator + worker fleet over the in-process netsim fabric, with an
-# instrumented worker-killed-mid-lease pair cross-checked for bit-identical
-# results. Exits nonzero on any serial/distributed mismatch.
-bench-dist:
-	$(GO) run ./cmd/jaaru-perf -dist BENCH_dist.json -reps $(REPS)
-
-# Regenerate the choice-point snapshot stack report (BENCH_replay.json):
-# full replay vs the failure-point engine alone vs the default stack, per
-# update-heavy workload. Exits nonzero on any result mismatch or if the
-# gated RECIPE rows fall below 2x wall clock / 5x replayed-step reduction.
-bench-replay:
-	$(GO) run ./cmd/jaaru-perf -replay BENCH_replay.json -reps $(REPS)
-
-# Regenerate the paged-memory-layout report (BENCH_memlayout.json). Pass
-# BASELINE=<old.json> to compute allocation/speedup deltas against a run
-# from a previous revision.
-bench-memlayout:
-	$(GO) run ./cmd/jaaru-perf -memlayout BENCH_memlayout.json -reps $(REPS) $(if $(BASELINE),-baseline $(BASELINE))
-
-# Bench comparator: regenerate every BENCH report into a scratch dir and diff
-# each against its committed baseline. Fails on any row with match=false (an
-# equivalence check broke), any row lost from the baseline (coverage shrank),
-# or any wall-clock field that regressed beyond TOLERANCE (fraction, default
-# 0.20). Pass TOLERANCE=0.60 on hardware unlike the one the baselines were
-# recorded on — the match and coverage checks stay exact either way.
-BENCHDIR ?= /tmp/jaaru-bench-check
-TOLERANCE ?= 0.20
-bench-check:
-	mkdir -p $(BENCHDIR)
-	$(GO) build -o $(BENCHDIR)/jaaru-perf ./cmd/jaaru-perf
-	$(BENCHDIR)/jaaru-perf -parallel $(BENCHDIR)/BENCH_parallel.json -reps $(REPS)
-	$(BENCHDIR)/jaaru-perf -snapshots $(BENCHDIR)/BENCH_snapshot.json -reps $(REPS)
-	$(BENCHDIR)/jaaru-perf -por $(BENCHDIR)/BENCH_por.json -reps $(REPS)
-	$(BENCHDIR)/jaaru-perf -dist $(BENCHDIR)/BENCH_dist.json -reps $(REPS)
-	$(BENCHDIR)/jaaru-perf -replay $(BENCHDIR)/BENCH_replay.json -reps $(REPS)
-	$(BENCHDIR)/jaaru-perf -memlayout $(BENCHDIR)/BENCH_memlayout.json -reps $(REPS)
-	for m in parallel snapshot por dist replay memlayout; do \
-		$(BENCHDIR)/jaaru-perf -check $(BENCHDIR)/BENCH_$$m.json \
-			-baseline BENCH_$$m.json -tolerance $(TOLERANCE) || exit 1; \
-	done
 
 # Telemetry scrape smoke: boot a coordinator on an ephemeral TCP port, run a
 # real worker fleet against it, GET /metrics and /v1/status over the wire,

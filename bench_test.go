@@ -546,9 +546,10 @@ func BenchmarkPerfIssueDetectionOverhead(b *testing.B) {
 // The amortization bar for the snapshot engine (the replay-based equivalent
 // of the paper's fork() strategy): resuming failure scenarios from captured
 // pre-failure snapshots must beat re-running every choice prefix, with
-// bit-identical results either way. Regenerate the full off/on table with:
+// bit-identical results either way (TestSnapshotEquivalence*). The
+// end-to-end measurement across workloads is jaarubench:
 //
-//	go run ./cmd/jaaru-perf -snapshots BENCH_snapshot.json
+//	bash jaarubench/run.sh --workload update-recur --seed 1
 
 func BenchmarkSnapshotRestore(b *testing.B) {
 	prog := recipe.CCEHWorkload(12, recipe.CCEHBugs{})

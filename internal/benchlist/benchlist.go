@@ -1,7 +1,7 @@
 // Package benchlist is the shared registry of runnable benchmarks: the
 // paper's running examples, the six RECIPE structures, the five PMDK
-// examples, and the networked PM server. The jaaru, jaaru-explain and
-// jaaru-perf front ends all select workloads from this one list, so a
+// examples, and the networked PM server. The command-line front ends and
+// the jaarubench harness all select workloads from this one list, so a
 // benchmark name means the same program everywhere.
 package benchlist
 

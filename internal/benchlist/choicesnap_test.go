@@ -151,3 +151,25 @@ func TestChoiceSnapshotEquivalenceLitmus(t *testing.T) {
 		assertChoiceSnapEquivalent(t, tst.Name, resOff, resOn)
 	}
 }
+
+// TestChoiceSnapshotReplayStepReduction is the countable side of the
+// stack's claim on the update-heavy RECIPE workloads: the default engine
+// explores bit-identically to full replay (no snapshots of either kind)
+// while physically replaying at most a fifth of its guest steps
+// (obs.ReplaySteps: 84,703 → 0 on CCEH-update, 248,480 → 8 on
+// P-CLHT-update).
+func TestChoiceSnapshotReplayStepReduction(t *testing.T) {
+	for _, prog := range []core.Program{
+		recipe.CCEHUpdateWorkload(8, 30),
+		recipe.CLHTUpdateWorkload(16, 16),
+	} {
+		replay := core.New(prog, core.Options{Snapshots: -1, ChoiceSnapshots: -1, Observe: true}).Run()
+		def := core.New(prog, core.Options{Observe: true}).Run()
+		assertChoiceSnapEquivalent(t, prog.Name, replay, def)
+		full, got := replay.Metrics.ReplaySteps, def.Metrics.ReplaySteps
+		if full == 0 || 5*got > full {
+			t.Errorf("%s: default engine replayed %d guest steps, full replay %d: want at most a fifth",
+				prog.Name, got, full)
+		}
+	}
+}

@@ -780,8 +780,8 @@ type Metrics struct {
 	// the chooser was still consuming a recorded prefix. The full-replay
 	// engine re-runs every prefix, the failure-point engine re-runs recovery
 	// prefixes, the choice-point stack fast-forwards them (ffwd operations
-	// skip step accounting), so this is the counter BENCH_replay.json's
-	// step-reduction column is built from.
+	// skip step accounting), so the replayed-step reduction is measured in
+	// it (TestChoiceSnapshotReplayStepReduction, snapshot.replay_steps).
 	ReplaySteps int64 `json:"replay_steps,omitempty"`
 
 	// Partial-order reduction. RFElisions is a deterministic property of

@@ -185,10 +185,23 @@ func TestRECIPEFixedVariantsExploreClean(t *testing.T) {
 
 // The larger Figure 14 workloads must also explore clean (this is the
 // precondition for the performance table: "Providing performance results
-// for a model checker requires first fixing the bugs").
+// for a model checker requires first fixing the bugs"), and explore exactly
+// the pinned state space: a change to memory layout, snapshots or pruning
+// that alters what the default engine explores shows up here as a count.
 func TestRECIPEPerfWorkloadsExploreClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("perf workloads take seconds each")
+	}
+	want := map[string]struct {
+		executions, scenarios, failurePoints int
+		steps                                int64
+	}{
+		"recipe/CCEH":       {122, 121, 82, 93706},
+		"recipe/FAST_FAIR":  {78, 77, 51, 42505},
+		"recipe/P-ART":      {72, 71, 58, 104495},
+		"recipe/P-BwTree":   {99, 98, 71, 46596},
+		"recipe/P-CLHT":     {31, 30, 21, 31527},
+		"recipe/P-Masstree": {38, 37, 26, 14443},
 	}
 	for _, prog := range PerfWorkloads(1) {
 		prog := prog
@@ -199,8 +212,15 @@ func TestRECIPEPerfWorkloadsExploreClean(t *testing.T) {
 				t.Fatalf("perf workload buggy: %v\nchoices: %s",
 					res.Bugs[0], res.Bugs[0].Choices)
 			}
-			if res.FailurePoints < 5 {
-				t.Errorf("suspiciously few failure points: %d", res.FailurePoints)
+			w, ok := want[prog.Name]
+			if !ok {
+				t.Fatalf("no pinned counts for %s", prog.Name)
+			}
+			if res.Executions != w.executions || res.Scenarios != w.scenarios ||
+				res.FailurePoints != w.failurePoints || res.Steps != w.steps {
+				t.Errorf("executions/scenarios/failure points/steps = %d/%d/%d/%d, want %d/%d/%d/%d",
+					res.Executions, res.Scenarios, res.FailurePoints, res.Steps,
+					w.executions, w.scenarios, w.failurePoints, w.steps)
 			}
 		})
 	}
