@@ -1,6 +1,6 @@
 # Developer / CI entry points. `make verify` is the gate every change must
-# pass: vet, full build, the full test suite, a race-detector pass over the
-# packages with shared mutable state, and the allocation gates. Every
+# pass: vet and gofmt, full build, the full test suite, a race-detector pass
+# over the packages with shared mutable state, and the allocation gates. Every
 # equivalence check between engine settings (snapshots, choice snapshots,
 # POR, workers, distributed) is a named test inside it. `make bench-gate` is
 # the one benchmark gate (jaarubench); `explain-smoke` and `scrape-smoke`
@@ -15,8 +15,11 @@ all: verify
 build:
 	$(GO) build ./...
 
+# vet also fails on any Go file gofmt would rewrite.
 vet:
 	$(GO) vet ./...
+	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l: files need formatting:"; echo "$$unformatted"; exit 1; fi
 
 test:
 	$(GO) test ./...

@@ -17,9 +17,10 @@ func allocGateChecker() (*Checker, *Context) {
 }
 
 // TestSteadyStateOpAllocations pins Store64 / Load64 / Clflush at zero heap
-// allocations per operation on a warmed scenario.
+// allocations per operation on a warmed scenario, and a warmed post-failure
+// Load64 served whole by the quiet prefix as well.
 func TestSteadyStateOpAllocations(t *testing.T) {
-	_, ctx := allocGateChecker()
+	c, ctx := allocGateChecker()
 	a := ctx.Root()
 	b := a.Add(64)
 	// Warm: grow the store-queue arena, page table, and TSO buffers to
@@ -39,6 +40,18 @@ func TestSteadyStateOpAllocations(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(200, func() { ctx.Clflush(b, 8) }); n != 0 {
 		t.Errorf("Clflush allocates %.3f times per op, want 0", n)
+	}
+
+	// After a failure, a's bytes each have one persisted candidate; the
+	// first load refines them and stamps their memos, later ones are quiet.
+	ctx.Clflush(a, 8)
+	c.stack.Push()
+	_ = ctx.Load64(a)
+	if _, n, _ := c.stack.QuietPrefix(a, 8); n != 8 {
+		t.Fatalf("warmed post-failure Load64 has a quiet prefix of %d bytes, want 8", n)
+	}
+	if n := testing.AllocsPerRun(200, func() { _ = ctx.Load64(a) }); n != 0 {
+		t.Errorf("post-failure Load64 allocates %.3f times per op, want 0", n)
 	}
 }
 

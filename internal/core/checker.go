@@ -74,7 +74,6 @@ type Checker struct {
 	// (obs.ReplaySteps), kept as a plain field so op() pays one compare and
 	// an increment, flushed with the segment's step total.
 	replaySteps int
-	observers   []func(pmem.Addr, pmem.Candidate)
 	snapshot    func(fpIndex int) // Yat instrumentation hook
 
 	// Observability (nil unless Options.Observe/EventTrace): reg is the
@@ -95,7 +94,7 @@ type Checker struct {
 	// "segment ended by a recorded bug" across the runSegment boundary.
 	bugEndedSegment bool
 
-	// rfScratch is reused across loadByte calls to avoid allocating a
+	// rfScratch is reused across resolveByte calls to avoid allocating a
 	// candidate slice per pre-failure load byte.
 	rfScratch []pmem.Candidate
 
@@ -271,7 +270,7 @@ func (c *Checker) Run() *Result {
 		c.reg.Emit("run_start", "program", c.prog.Name,
 			"workers", c.opts.Workers, "max_scenarios", c.opts.MaxScenarios)
 	}
-	if c.opts.Workers > 1 && c.snapshot == nil && len(c.observers) == 0 {
+	if c.opts.Workers > 1 && c.snapshot == nil {
 		return c.runParallel()
 	}
 	c.reg.SetWorkers(1)
@@ -715,18 +714,51 @@ func (c *Checker) BeforeFlushEffect(kind tso.EntryKind, addr pmem.Addr, loc stri
 
 // ---- Load path (Figures 9 & 10) ------------------------------------------
 
-// loadByte resolves one byte of a load. first marks the operation's leading
-// byte: the choice-point snapshot stack captures only there, so the value log
-// (snapshot.go) stays whole-operation and a fast-forward arrival always lands
-// on an operation boundary.
-func (c *Checker) loadByte(t *thread, a pmem.Addr, first bool) byte {
-	return c.resolveByte(t, a, first)
+// loadOp resolves one whole load (or RMW read) of size bytes at a and logs
+// it in the segment's value log. Semantics stay per byte (§4, mixed-size
+// accesses), cost is per operation: the stack resolves the leading bytes
+// that need no side effect in one pass (pmem.Stack.QuietPrefix), charging
+// their counters in bulk, and only the rest go through resolveByte. The
+// pass is skipped while the store buffer holds entries (a byte could bypass
+// through it) and under the witness recorder, which records every
+// refinement.
+func (c *Checker) loadOp(t *thread, a pmem.Addr, size int) uint64 {
+	var v uint64
+	n := 0
+	if c.wrec == nil && t.ts.SBLen() == 0 {
+		var hits int
+		v, n, hits = c.stack.QuietPrefix(a, size)
+		if hits > 0 {
+			c.col.Add(obs.LoadCacheHits, int64(hits))
+		}
+		if skipped := int64(n - hits); skipped > 0 && c.col != nil {
+			c.col.Add(obs.LoadRefinements, skipped)
+			c.col.Add(obs.RFCandidates, skipped)
+			c.col.NotePeak(obs.PeakRFCandidates, 1)
+			c.col.Add(obs.RefinementsSkipped, skipped)
+		}
+	}
+	// Set by the first byte that enters the refinement path: one
+	// TimerRefinement sample per load that refines.
+	var t0 time.Time
+	for i := n; i < size; i++ {
+		v |= uint64(c.resolveByte(t, a+pmem.Addr(i), i == 0, &t0)) << (8 * uint(i))
+	}
+	if !t0.IsZero() {
+		c.col.Observe(obs.TimerRefinement, time.Since(t0).Nanoseconds())
+	}
+	c.noteSegLoad(a, size, v)
+	return v
 }
 
 // resolveByte resolves one byte of a load: store-buffer bypass, then the
 // current execution's cache, then the lazily enumerated pre-failure
-// candidates with constraint refinement.
-func (c *Checker) resolveByte(t *thread, a pmem.Addr, first bool) byte {
+// candidates with constraint refinement. first marks the operation's leading
+// byte: the choice-point snapshot stack captures only there, so the value log
+// (snapshot.go) stays whole-operation and a fast-forward arrival always lands
+// on an operation boundary. When observing, the refinement path starts the
+// operation's refinement clock *t0 unless it is already running.
+func (c *Checker) resolveByte(t *thread, a pmem.Addr, first bool, t0 *time.Time) byte {
 	if v, ok := t.ts.Lookup(a); ok {
 		c.col.Inc(obs.LoadSBHits)
 		return v
@@ -735,14 +767,8 @@ func (c *Checker) resolveByte(t *thread, a pmem.Addr, first bool) byte {
 		c.col.Inc(obs.LoadCacheHits)
 		return bs.Val
 	}
-	if c.col != nil {
-		// Per-byte refinement latency: candidate enumeration through value
-		// selection (all exit paths, including elision). Wall-clock, so it
-		// feeds only the non-canonical TimerRefinement histogram.
-		t0 := time.Now()
-		defer func() {
-			c.col.Observe(obs.TimerRefinement, time.Since(t0).Nanoseconds())
-		}()
+	if c.col != nil && t0.IsZero() {
+		*t0 = time.Now()
 	}
 	c.rfScratch = c.stack.ReadPreFailureInto(a, c.rfScratch[:0])
 	cands := c.rfScratch
@@ -801,9 +827,6 @@ func (c *Checker) resolveByte(t *thread, a pmem.Addr, first bool) byte {
 	if wres != nil {
 		c.wrec.finishLoad(wres, chosen)
 		c.wrec.openLoad = nil
-	}
-	for _, ob := range c.observers {
-		ob(a, chosen)
 	}
 	return chosen.Val
 }

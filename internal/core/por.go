@@ -12,7 +12,7 @@ import (
 // Options.POR). Two complementary mechanisms shrink the explored scenario set
 // without changing the reachable-behaviour set or the bug set:
 //
-//   - Single-valued read-from elision (porElides, wired into loadByte): when
+//   - Single-valued read-from elision (porElides, wired into resolveByte): when
 //     a post-failure load byte's candidate set holds more than one store but
 //     every candidate carries the same value, the sibling read-from branches
 //     commute — no subsequent load can observe which store was chosen — so
@@ -60,18 +60,18 @@ import (
 // contains no failure decisions, so a recorded bug's choice suffix renders
 // position-independently and grafts onto any equivalent prefix), a
 // deterministic scheduler and eviction draw (a skipped subtree must not
-// leave per-scenario rng state behind), and no instrumentation/observer/
-// replay hooks (those must see every execution). The recovery subtree is a
+// leave per-scenario rng state behind), and no instrumentation or replay
+// hooks (those must see every execution). The recovery subtree is a
 // function of exactly (persisted state, allocator high-water), both folded
 // into the fingerprint, so equivalent states have isomorphic subtrees:
 // identical choice structure, behaviours, bug manifestations, and step
-// counts. Elision is gated only on observers: it stays active under witness
+// counts. Elision is gated only on Options.POR: it stays active under witness
 // replay so recorded choice vectors keep their shape.
 
 // porElides reports whether a multi-candidate load byte can be resolved
 // without a choice point because every candidate carries the same value.
 func (c *Checker) porElides(cands []pmem.Candidate) bool {
-	if c.opts.POR <= 0 || len(c.observers) > 0 {
+	if c.opts.POR <= 0 {
 		return false
 	}
 	v := cands[0].Val
@@ -249,7 +249,6 @@ func (c *Checker) porFpEligible() bool {
 		!c.opts.RandomScheduler &&
 		c.opts.Eviction != EvictRandom &&
 		c.snapshot == nil &&
-		len(c.observers) == 0 &&
 		c.wrec == nil &&
 		!c.replaySegment
 }

@@ -184,8 +184,8 @@ type snapEntry struct {
 // snapEligible reports whether the snapshot engine can run for this checker
 // at all. RandomScheduler and EvictRandom draw from an rng that is re-seeded
 // per scenario and advanced by every operation — a skipped prefix would
-// leave it in the wrong state — and instrumented (Yat), observed, or
-// replayed runs must see every guest operation.
+// leave it in the wrong state — and instrumented (Yat) or replayed runs
+// must see every guest operation.
 func (c *Checker) snapEligible() bool {
 	return c.opts.Snapshots > 0 &&
 		c.opts.MaxFailures > 0 &&
@@ -193,7 +193,6 @@ func (c *Checker) snapEligible() bool {
 		!c.opts.RandomScheduler &&
 		c.opts.Eviction != EvictRandom &&
 		c.snapshot == nil &&
-		len(c.observers) == 0 &&
 		!c.replaySegment
 }
 
@@ -623,11 +622,7 @@ func (c *Checker) ffwdLoad(t *thread, a pmem.Addr, size int) (v uint64, live boo
 	f := &c.ffwd
 	if f.cursor >= f.target {
 		c.ffwdArrive()
-		for i := 0; i < size; i++ {
-			v |= uint64(c.loadByte(t, a+pmem.Addr(i), i == 0)) << (8 * uint(i))
-		}
-		c.noteSegLoad(a, size, v)
-		return v, true
+		return c.loadOp(t, a, size), true
 	}
 	ev := f.log[f.cursor]
 	if ev.kind != evLoad || ev.addr != a || int(ev.size) != size {

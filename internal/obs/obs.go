@@ -206,8 +206,10 @@ const (
 	// TimerFingerprint is the per-call latency of the POR crash-state
 	// fingerprint walk.
 	TimerFingerprint
-	// TimerRefinement is the per-load-byte latency of the constraint
-	// refinement path (candidate choice plus the Figure-10 interval walk).
+	// TimerRefinement is the per-load-operation latency of the constraint
+	// refinement path (candidate choice plus the Figure-10 interval walk):
+	// one sample per load whose bytes entered it, timed from the first such
+	// byte to the end of the load.
 	TimerRefinement
 	// TimerLeaseClaim / TimerLeaseCommit are distributed-worker RPC
 	// round-trip latencies against the coordinator.

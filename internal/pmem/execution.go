@@ -291,7 +291,7 @@ func (e *Execution) LineKnown(a Addr) bool {
 // It is a thin allocating wrapper over appendCandidates, the one
 // candidate-enumeration implementation.
 func (e *Execution) Candidates(a Addr) (set []ByteStore, settled bool) {
-	tagged, settled := e.appendCandidates(a, nil)
+	tagged, settled := e.appendCandidates(a, nil, -1)
 	if len(tagged) == 0 {
 		return nil, settled
 	}
@@ -305,8 +305,9 @@ func (e *Execution) Candidates(a Addr) (set []ByteStore, settled bool) {
 // appendCandidates is the candidate enumeration of Figure 9 lines 8–13,
 // appending tagged entries into a reused buffer (the allocation-free path
 // used by the checker's load handling). An unmaterialized line reads as the
-// vacuous [0, ∞); enumeration never materializes state.
-func (e *Execution) appendCandidates(a Addr, out []Candidate) ([]Candidate, bool) {
+// vacuous [0, ∞); enumeration never materializes state. The walk stops early,
+// unsettled, once out holds limit entries (a negative limit never stops it).
+func (e *Execution) appendCandidates(a Addr, out []Candidate, limit int) ([]Candidate, bool) {
 	pg := e.pageFor(a)
 	if pg == nil {
 		return out, false
@@ -326,6 +327,9 @@ func (e *Execution) appendCandidates(a Addr, out []Candidate) ([]Candidate, bool
 			// Newest store at or before Begin: guaranteed persisted;
 			// earlier stores (and earlier executions) are unreachable.
 			return out, true
+		}
+		if len(out) == limit {
+			return out, false
 		}
 	}
 	return out, false

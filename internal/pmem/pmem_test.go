@@ -400,7 +400,7 @@ func TestCandidatesAgreesWithAppend(t *testing.T) {
 	for _, a := range []Addr{x, y} {
 		e := s.At(0)
 		ref, settledRef := e.Candidates(a)
-		fast, settledFast := e.appendCandidates(a, nil)
+		fast, settledFast := e.appendCandidates(a, nil, -1)
 		if settledRef != settledFast || len(ref) != len(fast) {
 			t.Fatalf("forms disagree: %v/%v vs %v/%v", ref, settledRef, fast, settledFast)
 		}

@@ -131,15 +131,54 @@ func (s *Stack) ReadPreFailure(a Addr) []Candidate {
 // ReadPreFailureInto is ReadPreFailure appending into a caller-provided
 // buffer (typically a reused scratch slice) to avoid per-load allocation.
 func (s *Stack) ReadPreFailureInto(a Addr, out []Candidate) []Candidate {
+	return s.readPreFailure(a, out, -1)
+}
+
+// readPreFailure is the one Figure 9 walk behind ReadPreFailureInto and
+// QuietPrefix. It stops as soon as out holds limit candidates (a negative
+// limit never stops it), so a limited walk returns a prefix of the full set.
+func (s *Stack) readPreFailure(a Addr, out []Candidate, limit int) []Candidate {
 	for id := s.Top().ID - 1; id >= 0; id-- {
-		e := s.execs[id]
 		var settled bool
-		out, settled = e.appendCandidates(a, out)
-		if settled {
+		out, settled = s.execs[id].appendCandidates(a, out, limit)
+		if settled || len(out) == limit {
 			return out
 		}
 	}
 	return append(out, Candidate{Exec: InitialExec, ByteStore: ByteStore{Val: 0, Seq: 0}})
+}
+
+// QuietPrefix resolves the longest leading run of bytes of the load
+// [a, a+size), size ≤ 8, that need no side effect: a byte qualifies when the
+// top execution's cache holds it, or when ReadPreFailure gives it exactly
+// one candidate whose DoRead memo is current. v holds the run's bytes
+// little-endian, n its length, and hits the cache hits among them (the rest
+// are skipped refinements). It changes nothing but the page-lookup caches,
+// so resolving the remaining bytes one at a time afterwards is exact. A load
+// crossing a page resolves nothing.
+func (s *Stack) QuietPrefix(a Addr, size int) (v uint64, n, hits int) {
+	if (a^(a+Addr(size)-1))>>pageShift != 0 {
+		return 0, 0, 0
+	}
+	top := s.Top()
+	tp := top.pageFor(a)
+	var buf [2]Candidate
+	for ; n < size; n++ {
+		b := a + Addr(n)
+		if tp != nil {
+			if i := tp.slots[b&pageMask].tail; i != 0 {
+				v |= uint64(top.arena[i-1].val) << (8 * n)
+				hits++
+				continue
+			}
+		}
+		cands := s.readPreFailure(b, buf[:0], 2)
+		if len(cands) != 1 || !s.memoCurrent(b, cands[0]) {
+			break
+		}
+		v |= uint64(cands[0].Val) << (8 * n)
+	}
+	return v, n, hits
 }
 
 // DoRead refines the most-recent-writeback intervals of previous executions
@@ -159,22 +198,29 @@ func (s *Stack) DoRead(a Addr, c Candidate) (skipped bool) {
 	if c.Exec == top.ID {
 		return false
 	}
-	// The memo lives on the chosen execution's slot for byte a (InitialExec
-	// candidates memoize on execution 0; their Seq 0 cannot collide with a
-	// real exec-0 store, whose Seq is >= 1).
-	memoExec := c.Exec
-	if memoExec < 0 {
-		memoExec = 0
-	}
-	sl := &s.execs[memoExec].ensurePage(a).slots[a&pageMask]
-	if sl.refEpoch == s.refEpoch && sl.refSeq == c.Seq {
+	if s.memoCurrent(a, c) {
 		return true
 	}
 	s.updateRanges(top.ID-1, a, c)
 	// Stamp with the post-walk epoch: the walk's own effective mutations
 	// bumped it, and repeating the walk now would be ineffective.
+	sl := &s.execs[max(c.Exec, 0)].ensurePage(a).slots[a&pageMask]
 	sl.refSeq, sl.refEpoch = c.Seq, s.refEpoch
 	return false
+}
+
+// memoCurrent is the one memo test: the DoRead memo of candidate c for byte
+// a proves that repeating the refinement walk would move nothing. The memo
+// lives on the chosen execution's slot for a; InitialExec candidates
+// memoize on execution 0, where their Seq 0 cannot collide with a real
+// store, whose Seq is >= 1.
+func (s *Stack) memoCurrent(a Addr, c Candidate) bool {
+	pg := s.execs[max(c.Exec, 0)].pageFor(a)
+	if pg == nil {
+		return false
+	}
+	sl := &pg.slots[a&pageMask]
+	return sl.refEpoch == s.refEpoch && sl.refSeq == c.Seq
 }
 
 // updateRanges walks the executions from execID down to the chosen one

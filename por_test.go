@@ -82,7 +82,7 @@ func assertPOREquivalent(t *testing.T, label string, off, on *jaaru.Result) {
 
 // TestPOREquivalenceLitmus: the entire litmus suite, POR off vs on, results
 // and recovery observation sets both. The litmus obs callbacks are
-// program-level closures (not checker observers), so the POR layer stays
+// program-level closures the checker never sees, so the POR layer stays
 // fully active here.
 func TestPOREquivalenceLitmus(t *testing.T) {
 	for _, tst := range litmus.Tests() {
